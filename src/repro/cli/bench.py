@@ -5,7 +5,8 @@ the current directory) with:
 
 * hot-loop throughput (simulated cycles per wall-clock second) on the
   memory-divergent, compute-intensive and memory-stall bracket kernels,
-  measured **per engine** (``fast``, ``legacy`` and ``event``),
+  measured **per engine** (``fast`` and ``legacy``), plus the fast core's
+  span ledger on the memory-stall bracket,
 * a trace-replay row (decode + replay of a stencil-family trace),
 * the full bench **matrix** — every evaluation scheme
   (gto/swl/pcal/poise/static_best) × representative synthetic and
@@ -18,20 +19,22 @@ Every record carries ``engine``, ``python_version`` and ``cpu_count``; all
 timing is ``time.perf_counter``.
 
 ``--gate RATIO`` turns the run into a CI perf gate: it fails (exit 1) when
-the fast (or event) engine's throughput drops below ``RATIO`` × a **live
-legacy run on the same host** on either bracket kernel — a
+the fast engine's throughput drops below ``RATIO`` × a **live legacy run on
+the same host** on either classic bracket kernel — a
 host-speed-independent regression signal (both engines pay the same
-slowdown on a throttled runner).  When the event engine is benchmarked the
-gate additionally requires it to hold ≥5x over a live fast run on the
-MSHR-saturating memory-stall bracket (the dead-cycle class only the event
-engine skips).  The ratio against the committed legacy baseline (the
-earliest trajectory entry, measured on the reference container) is reported
-alongside for trend context but never fails the gate off-host.
+slowdown on a throttled runner).  It additionally requires the fast core to
+hold ``MSHR_GATE_RATIO`` × live legacy on the MSHR-saturating memory-stall
+bracket (5× the fast/legacy ratio measured before the fast core jumped
+MSHR-full retry spans), and its mean jump there to span at least
+``MIN_CYCLES_PER_JUMP`` cycles — a count check no host speed can move.
+The ratio against the committed legacy baseline (the earliest trajectory
+entry, measured on the reference container) is reported alongside for
+trend context but never fails the gate off-host.
 
 Usage::
 
     python -m repro bench [--output PATH] [--jobs N] [--max-cycles N]
-                          [--engines fast,legacy,event] [--skip-matrix]
+                          [--engines fast,legacy] [--skip-matrix]
                           [--matrix-cycles N] [--gate RATIO] [--dry-run]
 """
 
@@ -50,9 +53,10 @@ from repro.gpu.engine import resolve_engine
 from repro.obs.schema import BENCH_SCHEMA_VERSION, BenchSchemaError, validate_bench_entry
 from repro.obs.telemetry import telemetry_delta, telemetry_snapshot
 from repro.runtime.bench import (
-    EVENT_GATE_KERNEL,
-    EVENT_GATE_RATIO,
     GATE_KERNELS,
+    MIN_CYCLES_PER_JUMP,
+    MSHR_GATE_KERNEL,
+    MSHR_GATE_RATIO,
     committed_legacy_baseline,
     compute_intensive_kernel,
     host_environment,
@@ -64,6 +68,7 @@ from repro.runtime.bench import (
     memory_divergent_kernel,
     memory_stall_config,
     memory_stall_kernel,
+    span_ledger,
 )
 from repro.runtime.executor import resolve_jobs
 from repro.version import __version__
@@ -86,8 +91,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cycle budget per throughput kernel (default 80000)",
     )
     parser.add_argument(
-        "--engines", default="fast,legacy,event",
-        help="comma-separated engines to benchmark (default: fast,legacy,event)",
+        "--engines", default="fast,legacy",
+        help="comma-separated engines to benchmark (default: fast,legacy)",
     )
     parser.add_argument(
         "--skip-matrix", action="store_true",
@@ -148,6 +153,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"[{engine}] {spec.name}: {result['cycles_per_second']:,.0f} cycles/s "
                 f"({result['cycles']:,} cycles in {result['wall_seconds']:.3f}s)"
             )
+            if engine == "fast" and spec.name == MSHR_GATE_KERNEL:
+                result.update(span_ledger(spec, config, args.max_cycles))
+                print(
+                    f"[{engine}] {spec.name}: {result['jumped_cycles']:,} cycles "
+                    f"jumped in {result['jump_spans']:,} spans, "
+                    f"{result['ticked_cycles']:,} ticked"
+                )
         throughput[engine] = rows
     stage_done("throughput")
 
@@ -228,47 +240,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             gate_failed = True
         else:
             # The gate itself is host-independent: fast vs a live legacy run
-            # on this machine, both paying the same host slowdown.
-            for kernel in GATE_KERNELS:
+            # on this machine, both paying the same host slowdown.  On the
+            # MSHR-saturating bracket the fast core must also keep the ≥5x
+            # its horizon gained over its per-cycle self.
+            needs = {kernel: args.gate for kernel in GATE_KERNELS}
+            needs[MSHR_GATE_KERNEL] = MSHR_GATE_RATIO
+            for kernel, need in needs.items():
                 fast_cps = float(fast_rows[kernel]["cycles_per_second"])
                 legacy_cps = float(legacy_rows[kernel]["cycles_per_second"])
                 ratio = fast_cps / legacy_cps if legacy_cps else float("inf")
-                verdict = "ok" if ratio >= args.gate else "FAIL"
+                verdict = "ok" if ratio >= need else "FAIL"
                 print(
                     f"gate [{kernel}]: fast {fast_cps:,.0f} vs live legacy "
-                    f"{legacy_cps:,.0f} -> {ratio:.2f}x (need >= {args.gate:.2f}x) {verdict}"
+                    f"{legacy_cps:,.0f} -> {ratio:.2f}x (need >= {need:.2f}x) {verdict}"
                 )
-                if ratio < args.gate:
+                if ratio < need:
                     gate_failed = True
-            event_rows = throughput.get("event")
-            if event_rows is not None:
-                # Same host-independent discipline for the event engine: it
-                # must keep the fast engine's lead over legacy on the
-                # bracket kernels ...
-                for kernel in GATE_KERNELS:
-                    event_cps = float(event_rows[kernel]["cycles_per_second"])
-                    legacy_cps = float(legacy_rows[kernel]["cycles_per_second"])
-                    ratio = event_cps / legacy_cps if legacy_cps else float("inf")
-                    verdict = "ok" if ratio >= args.gate else "FAIL"
-                    print(
-                        f"gate [{kernel}]: event {event_cps:,.0f} vs live legacy "
-                        f"{legacy_cps:,.0f} -> {ratio:.2f}x (need >= {args.gate:.2f}x) {verdict}"
-                    )
-                    if ratio < args.gate:
-                        gate_failed = True
-                # ... and demonstrate the event-skipping win itself: ≥5x
-                # over a live fast run on the MSHR-saturating bracket.
-                event_cps = float(event_rows[EVENT_GATE_KERNEL]["cycles_per_second"])
-                fast_cps = float(fast_rows[EVENT_GATE_KERNEL]["cycles_per_second"])
-                ratio = event_cps / fast_cps if fast_cps else float("inf")
-                verdict = "ok" if ratio >= EVENT_GATE_RATIO else "FAIL"
-                print(
-                    f"gate [{EVENT_GATE_KERNEL}]: event {event_cps:,.0f} vs live fast "
-                    f"{fast_cps:,.0f} -> {ratio:.2f}x (need >= {EVENT_GATE_RATIO:.2f}x) "
-                    f"{verdict}"
-                )
-                if ratio < EVENT_GATE_RATIO:
-                    gate_failed = True
+            # The horizon's jumps must also stay long: a count, not a clock.
+            fast_row = fast_rows[MSHR_GATE_KERNEL]
+            spans = fast_row["jump_spans"]
+            per_jump = fast_row["jumped_cycles"] / spans if spans else 0.0
+            verdict = "ok" if per_jump >= MIN_CYCLES_PER_JUMP else "FAIL"
+            print(
+                f"gate [{MSHR_GATE_KERNEL}]: {per_jump:.1f} cycles per jump "
+                f"(need >= {MIN_CYCLES_PER_JUMP:.1f}) {verdict}"
+            )
+            if per_jump < MIN_CYCLES_PER_JUMP:
+                gate_failed = True
             # Context only: the trend against the committed reference-host
             # baseline (never fails the gate — CI runners differ in speed).
             for kernel, base_cps in committed_legacy_baseline(trajectory).items():

@@ -3,9 +3,9 @@
 ``Chip`` instantiates ``num_sms`` cores of the selected engine class and
 wires them all to a *single* L2/DRAM busy-server pair
 (:class:`~repro.gpu.memory.MemorySubsystem` for the legacy engine,
-:class:`~repro.gpu.fastcore.FastMemorySubsystem` for the fast/event
-engines), so the interleaved request streams contend for the same service
-intervals — inter-SM contention becomes a first-class measurable instead of
+:class:`~repro.gpu.fastcore.FastMemorySubsystem` for the fast engine), so
+the interleaved request streams contend for the same service intervals —
+inter-SM contention becomes a first-class measurable instead of
 a constant folded into the per-SM bandwidth share.
 
 Determinism/bit-identity contract
@@ -21,7 +21,7 @@ each quantum slice SMs run in ascending ``sm_id`` order.  Two consequences:
   same contention;
 * since every engine is bit-identical per window given identical memory
   responses, and the two memory-subsystem implementations are op-for-op
-  identical arithmetic, all three engines produce bit-identical counters
+  identical arithmetic, both engines produce bit-identical counters
   for the same chip configuration (pinned by ``tests/engine_conformance``).
 
 The chip exposes the single-SM controller protocol (``cycle``, ``counters``,
@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import PerfCounters
+from repro.gpu.engine import ENGINE_LEGACY, core_class_for_engine
 from repro.gpu.isa import Instruction
 
 
@@ -154,8 +155,6 @@ class Chip:
 
 def shared_memory_for_engine(config: GPUConfig, resolved_engine: str):
     """One shared memory subsystem matching the engine family."""
-    from repro.gpu.engine import ENGINE_LEGACY
-
     if resolved_engine == ENGINE_LEGACY:
         from repro.gpu.memory import MemorySubsystem
 
@@ -163,22 +162,6 @@ def shared_memory_for_engine(config: GPUConfig, resolved_engine: str):
     from repro.gpu.fastcore import FastMemorySubsystem
 
     return FastMemorySubsystem(config.memory)
-
-
-def core_class_for_engine(resolved_engine: str):
-    from repro.gpu.engine import ENGINE_EVENT, ENGINE_LEGACY
-
-    if resolved_engine == ENGINE_LEGACY:
-        from repro.gpu.sm import StreamingMultiprocessor
-
-        return StreamingMultiprocessor
-    if resolved_engine == ENGINE_EVENT:
-        from repro.gpu.eventcore import EventStreamingMultiprocessor
-
-        return EventStreamingMultiprocessor
-    from repro.gpu.fastcore import FastStreamingMultiprocessor
-
-    return FastStreamingMultiprocessor
 
 
 def build_chip(

@@ -1,6 +1,6 @@
 """Simulator-engine selection.
 
-Three engines execute kernels, bit-identically:
+Two engines execute kernels, bit-identically:
 
 * ``legacy`` — :class:`repro.gpu.sm.StreamingMultiprocessor`, the original
   object-per-warp cycle loop.  It is the *oracle*: readable, heavily
@@ -8,19 +8,19 @@ Three engines execute kernels, bit-identically:
   verified against.
 * ``fast`` — :class:`repro.gpu.fastcore.FastStreamingMultiprocessor`, a
   struct-of-arrays rewrite of the same loop (flat warp/L1/MSHR state, fused
-  cycle function, ALU-run batching).  It is the default because every
-  counter it produces is pinned to the legacy core by the golden-counter
-  tests and the differential Hypothesis suite.
-* ``event`` — :class:`repro.gpu.eventcore.EventStreamingMultiprocessor`,
-  the fast core with a next-event horizon: spans of dead cycles (no-ready
-  stalls *and* MSHR-full retry loops) advance the clock in one jump to the
-  next observable event, with every counter credited for the skipped span
-  exactly as if ticked.  Verified by the same N-way conformance harness
-  (``tests/engine_conformance.py``).
+  cycle function, ALU-run batching) that advances dead cycles — no-ready
+  stalls *and* MSHR-full retry spans — in one jump to the next observable
+  event, with every counter credited for the skipped span exactly as if
+  ticked.  It is the default because every counter it produces is pinned
+  to the legacy core by the golden-counter tests and the N-way conformance
+  harness (``tests/engine_conformance.py``).
 
-Adding a fourth engine is one registry entry here plus a branch in
-:meth:`repro.gpu.gpu.GPU.build_sm`: the conformance harness, golden replay
-and scenario engine axes all enumerate :data:`ENGINES`.
+The former ``event`` engine was that horizon on a second copy of the fast
+loop; it is folded into ``fast`` and its name is rejected.
+
+Adding an engine is one registry entry here plus a branch in
+:func:`core_class_for_engine`: the conformance harness, golden replay and
+scenario engine axes all enumerate :data:`ENGINES`.
 
 Selection is the ``REPRO_ENGINE`` environment variable (``fast`` when
 unset), overridable per call wherever a simulation is built
@@ -36,15 +36,17 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.gpu.fastcore import FastStreamingMultiprocessor
+from repro.gpu.sm import StreamingMultiprocessor
+
 #: Environment variable naming the engine to simulate with.
 ENGINE_ENV = "REPRO_ENGINE"
 
 ENGINE_FAST = "fast"
 ENGINE_LEGACY = "legacy"
-ENGINE_EVENT = "event"
 
 #: Every recognised engine name.
-ENGINES = (ENGINE_FAST, ENGINE_LEGACY, ENGINE_EVENT)
+ENGINES = (ENGINE_FAST, ENGINE_LEGACY)
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -56,11 +58,23 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     """
     value = engine if engine is not None else os.environ.get(ENGINE_ENV, "")
     value = value.strip().lower() or ENGINE_FAST
+    if value == "event":
+        raise ValueError(
+            f"simulator engine 'event' was folded into {ENGINE_FAST!r} "
+            f"(expected one of {', '.join(ENGINES)})"
+        )
     if value not in ENGINES:
         raise ValueError(
             f"unknown simulator engine {value!r} (expected one of {', '.join(ENGINES)})"
         )
     return value
+
+
+def core_class_for_engine(resolved_engine: str):
+    """The SM core class that simulates ``resolved_engine``."""
+    if resolved_engine == ENGINE_LEGACY:
+        return StreamingMultiprocessor
+    return FastStreamingMultiprocessor
 
 
 @contextmanager

@@ -1,430 +1,13 @@
-"""Event-skipping simulator core (``REPRO_ENGINE=event``).
+"""Compatibility name for the retired ``event`` engine.
 
-The struct-of-arrays fast core already collapses two kinds of repetition:
-runs of consecutive ALU issues are batched, and spans where *no* vital warp
-can issue fast-forward to the next memory completion.  One dead-cycle class
-remains ticked one cycle at a time: the **MSHR-full retry**.  When the GTO
-pick lands on a warp whose next load would miss while every MSHR entry is
-in flight, the slot is wasted and the warp retries — and the fast core pays
-a full pick + L1 probe + counter update for every one of those cycles.  On
-MLP-heavy kernels (bursts of independent loads per warp) that retry loop is
-over 90% of all simulated cycles.
-
-This engine replaces per-cycle retries with a **next-event horizon**.  At
-any instant the earliest cycle at which the SM's observable state can next
-change is::
-
-    horizon = min(next MSHR fill, run limit)
-
-because between now and the next completion-heap head nothing a retry loop
-observes can move:
-
-* no response is delivered, so no MSHR entry is released, no outstanding
-  load completes, and no warp's ``min-first-dependent`` horizon changes;
-* the scheduler state is frozen — ``pick`` is deterministic over unchanged
-  state, so it returns the *same* warp with the *same* blocked load every
-  cycle of the span;
-* the retry path itself mutates nothing (the legacy oracle rolls back its
-  ``instructions`` increment and touches neither the L1 nor the MSHR file
-  on the blocked path).
-
-Each cycle of the span is therefore an identical MSHR-stall cycle, and the
-engine credits the whole span in one jump — ``cycles``, ``busy_cycles`` and
-``mshr_stall_cycles`` advance by the span length exactly as if ticked.  The
-same argument (inherited from the fast core) covers the no-ready-warp stall
-span, credited to ``stall_cycles``.  Observable events — a delivery, a load
-issue, an ALU batch, a controller window boundary (``run_cycles`` /
-``snapshot`` / ``set_warp_tuple``) — are never jumped over: every jump
-target is clamped to ``limit``, so windowed controllers see bit-identical
-per-window counter deltas.
-
-Skip-span accounting: ``jumped_cycles`` (dead cycles advanced in jumps of
-``jump_spans`` total spans) plus ``ticked_cycles`` (cycles advanced by
-issuing work) always equals ``counters.cycles`` — a property the
-conformance suite cross-checks against the legacy oracle's totals.
-
-Bit-identity with the legacy core on every counter is pinned by the N-way
-engine-conformance harness (``tests/engine_conformance.py``), the golden
-fixtures and the differential Hypothesis suite — the same discipline that
-proved the fast core.
+The event core's next-event horizon over MSHR-full retry spans now lives in
+:class:`repro.gpu.fastcore.FastStreamingMultiprocessor`, the default
+``fast`` engine.  This empty subclass only keeps existing imports of
+``EventStreamingMultiprocessor`` working; it is not a registered engine.
 """
 
-from __future__ import annotations
-
-import heapq
-import sys
-from typing import Dict, Tuple
-
 from repro.gpu.fastcore import FastStreamingMultiprocessor
-from repro.gpu.isa import Instruction
-
-#: Sentinel for "no outstanding load blocks anything" (mirrors warp.py).
-_NO_BLOCK = sys.maxsize
-#: Sentinel for "no memory response in flight".
-_NO_RESPONSE = sys.maxsize
 
 
 class EventStreamingMultiprocessor(FastStreamingMultiprocessor):
-    """Fast core + next-event horizon over every dead-cycle class.
-
-    State layout, schedulability bookkeeping and the issue paths are
-    inherited unchanged from :class:`FastStreamingMultiprocessor`; the
-    cycle loop differs only in how it advances the clock through cycles
-    where nothing observable can happen.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Dead cycles advanced in one-jump spans (stall + MSHR retry).
-        self.jumped_cycles = 0
-        #: Number of jumps taken (each ≥ 1 cycle).
-        self.jump_spans = 0
-        #: Cycles advanced by issuing work (ALU batches count their length).
-        self.ticked_cycles = 0
-
-    # -- the event-skipping cycle loop -------------------------------------------
-
-    def _run(self, limit: int) -> None:
-        cycle = self.cycle
-        unfinished = self._unfinished
-        if cycle >= limit or not unfinished:
-            return
-
-        # ---- counter accumulators (flushed to self.counters on exit) --------
-        cycles_c = busy_c = stall_c = instr_c = loads_c = 0
-        l1_acc = l1_hit = l1_miss = l1_byp = 0
-        pol_acc = pol_hit = npol_acc = npol_hit = 0
-        intra_c = inter_c = 0
-        missreq_c = misslat_c = 0
-        l2_acc = l2_hit = dram_c = 0
-        mshr_stall = 0
-        jumped = spans = ticked = 0
-
-        # ---- state bound to locals ------------------------------------------
-        pcs = self._pcs
-        plens = self._plens
-        minfd = self._minfd
-        outstanding = self._outstanding
-        alive = self._alive
-        vital = self._vital_flags
-        pollute = self._pollute_flags
-        vital_list = self._vital_list
-        ready = self._ready
-        ready_vital = self._ready_vital
-        last = self._last
-        progs = self.warps
-        tags = self._l1_tags
-        stamps = self._l1_stamps
-        lastw = self._l1_lastw
-        acc_counter = self._l1_access_counter
-        nsets = self._nsets
-        assoc = self._assoc
-        hash_indexing = self._hash_indexing
-        index_memo = self._index_memo
-        mshr_lines = self._mshr_lines
-        mshr_cap = self._mshr_capacity
-        responses = self._responses
-        waiters_map = self._response_waiters
-        seq = self._response_seq
-        next_token = self._next_token
-        memory_request = self.memory.request
-        reuse = self.reuse_tracker
-        reuse_record = reuse.record if reuse is not None else None
-        policy_active = self._policy_active
-        allow_allocate = self.cache_policy.allow_allocate if policy_active else None
-        observe_access = self.cache_policy.observe_access if policy_active else None
-        tc = self.trace_capture
-        tc_record = tc.record if tc is not None else None
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        refresh = self._refresh_bits
-
-        next_completion = responses[0][0] if responses else _NO_RESPONSE
-
-        # Per-warp row cache, exactly as in the fast core: GTO is sticky, so
-        # consecutive issues almost always come from the same warp.
-        cur = -1
-        prog_w: Tuple[Instruction, ...] = ()
-        plen_w = 0
-        out_w: Dict[int, Tuple[int, int]] = {}
-
-        while cycle < limit and unfinished:
-            # ---- deliver memory responses due this cycle --------------------
-            while next_completion <= cycle:
-                completion, _, line, waiters = heappop(responses)
-                del waiters_map[line]
-                for wid, token in waiters:
-                    out = outstanding[wid]
-                    fd, issue_cycle = out.pop(token)
-                    missreq_c += 1
-                    misslat_c += completion - issue_cycle
-                    if fd <= minfd[wid]:
-                        new_min = _NO_BLOCK
-                        for pending in out.values():
-                            first_dep = pending[0]
-                            if first_dep < new_min:
-                                new_min = first_dep
-                        minfd[wid] = new_min
-                    pc = pcs[wid]
-                    if not out and pc >= plens[wid]:
-                        alive[wid] = False
-                        unfinished -= 1
-                        refresh()
-                        vital_list = self._vital_list
-                        ready_vital = self._ready_vital
-                    elif (
-                        not ready[wid] and pc < plens[wid] and pc < minfd[wid]
-                    ):
-                        ready[wid] = True
-                        if vital[wid]:
-                            ready_vital += 1
-                mshr_lines.discard(line)
-                next_completion = responses[0][0] if responses else _NO_RESPONSE
-
-            # ---- stall span: no vital warp can issue ------------------------
-            if not ready_vital:
-                # Event horizon: the next MSHR fill (or the window limit).
-                # Nothing scheduler-visible can change before it.
-                if responses:
-                    target = next_completion if next_completion < limit else limit
-                    skipped = target - cycle
-                    if skipped < 1:
-                        skipped = 1
-                else:
-                    skipped = 1
-                cycle += skipped
-                cycles_c += skipped
-                stall_c += skipped
-                jumped += skipped
-                spans += 1
-                continue
-
-            # ---- pick a warp (greedy-then-oldest over the vital list) -------
-            if last >= 0 and vital[last] and ready[last]:
-                wid = last
-            else:
-                wid = -1
-                for cand in vital_list:
-                    if ready[cand]:
-                        wid = cand
-                        last = cand
-                        break
-            pc = pcs[wid]
-
-            if wid != cur:
-                cur = wid
-                prog_w = progs[wid]
-                plen_w = plens[wid]
-                out_w = outstanding[wid]
-
-            inst = prog_w[pc]
-            line = inst.line_addr
-            if line is None:
-                # ---- ALU burst (inherited bounds: schedulability, next
-                # completion, window limit) -----------------------------------
-                stop = minfd[wid]
-                if plen_w < stop:
-                    stop = plen_w
-                bound = pc + (limit - cycle)
-                if bound < stop:
-                    stop = bound
-                bound = pc + (next_completion - cycle)
-                if bound < stop:
-                    stop = bound
-                npc = pc + 1
-                while npc < stop and prog_w[npc].line_addr is None:
-                    npc += 1
-                k = npc - pc
-                pcs[wid] = npc
-                instr_c += k
-                cycle += k
-                cycles_c += k
-                busy_c += k
-                ticked += k
-                if tc_record is not None:
-                    for index in range(pc, npc):
-                        tc_record(wid, prog_w[index])
-                if npc >= plen_w or npc >= minfd[wid]:
-                    ready[wid] = False
-                    if vital[wid]:
-                        ready_vital -= 1
-                if npc >= plen_w and not out_w:
-                    alive[wid] = False
-                    unfinished -= 1
-                    refresh()
-                    vital_list = self._vital_list
-                    ready_vital = self._ready_vital
-                last = wid
-                continue
-
-            # ---- load issue (single fused set walk) -------------------------
-            polluting = pollute[wid]
-            if policy_active:
-                allocate = polluting and allow_allocate(inst, wid)
-            else:
-                allocate = polluting
-            if hash_indexing:
-                sidx = index_memo.get(line)
-                if sidx is None:
-                    folded = line
-                    sidx = 0
-                    while folded:
-                        sidx ^= folded % nsets
-                        folded //= nsets
-                    sidx %= nsets
-                    index_memo[line] = sidx
-            else:
-                sidx = line % nsets
-            base = sidx * assoc
-            hit_way = -1
-            for way in range(base, base + assoc):
-                if tags[way] == line:
-                    hit_way = way
-                    break
-
-            if (
-                hit_way < 0
-                and line not in mshr_lines
-                and len(mshr_lines) >= mshr_cap
-            ):
-                # ---- MSHR-retry span: jump to the next fill -----------------
-                # A would-be miss with no MSHR entry (new or merged) wastes
-                # the slot, and until a response releases an entry every
-                # retry cycle is identical: same pick (state is frozen), same
-                # blocked load, no cache or counter side effects.  The legacy
-                # oracle ticks these one at a time; crediting the span in one
-                # jump is exact.  ``mshr_lines`` non-empty guarantees a
-                # response is in flight, so ``next_completion`` is real.
-                target = next_completion if next_completion < limit else limit
-                k = target - cycle
-                if k < 1:
-                    k = 1
-                mshr_stall += k
-                cycle += k
-                cycles_c += k
-                busy_c += k
-                jumped += k
-                spans += 1
-                continue
-
-            instr_c += 1
-            loads_c += 1
-            l1_acc += 1
-            if polluting:
-                pol_acc += 1
-            else:
-                npol_acc += 1
-            if reuse_record is not None:
-                reuse_record(wid, line)
-            if policy_active:
-                observe_access(inst, wid, hit_way >= 0)
-            acc_counter += 1
-            npc = pc + 1
-            pcs[wid] = npc
-            if hit_way >= 0:
-                l1_hit += 1
-                if polluting:
-                    pol_hit += 1
-                else:
-                    npol_hit += 1
-                if lastw[hit_way] == wid:
-                    intra_c += 1
-                else:
-                    inter_c += 1
-                lastw[hit_way] = wid
-                stamps[hit_way] = acc_counter
-            else:
-                l1_miss += 1
-                if allocate:
-                    # LRU victim: invalid ways carry stamp 0 (< any valid
-                    # stamp), ties resolve to the lowest way — the same
-                    # order as the legacy ``min`` over (valid, stamp).
-                    vic = base
-                    best = stamps[base]
-                    if best:
-                        for way in range(base + 1, base + assoc):
-                            s = stamps[way]
-                            if s < best:
-                                vic = way
-                                best = s
-                                if not s:
-                                    break
-                    tags[vic] = line
-                    lastw[vic] = wid
-                    stamps[vic] = acc_counter
-                else:
-                    l1_byp += 1
-                token = next_token
-                next_token += 1
-                fd = pc + inst.dep_distance + 1
-                out_w[token] = (fd, cycle)
-                if fd < minfd[wid]:
-                    minfd[wid] = fd
-                if line in mshr_lines:
-                    waiters_map[line].append((wid, token))
-                else:
-                    mshr_lines.add(line)
-                    completion, served_by_l2 = memory_request(line, cycle, wid)
-                    l2_acc += 1
-                    if served_by_l2:
-                        l2_hit += 1
-                    else:
-                        dram_c += 1
-                    seq += 1
-                    entry_waiters = [(wid, token)]
-                    waiters_map[line] = entry_waiters
-                    heappush(responses, (completion, seq, line, entry_waiters))
-                    if completion < next_completion:
-                        next_completion = completion
-            if tc_record is not None:
-                tc_record(wid, inst)
-            if npc >= plen_w or npc >= minfd[wid]:
-                ready[wid] = False
-                if vital[wid]:
-                    ready_vital -= 1
-            if npc >= plen_w and not out_w:
-                alive[wid] = False
-                unfinished -= 1
-                refresh()
-                vital_list = self._vital_list
-                ready_vital = self._ready_vital
-            last = wid
-
-            cycle += 1
-            cycles_c += 1
-            busy_c += 1
-            ticked += 1
-
-        # ---- write state and counters back ----------------------------------
-        self.cycle = cycle
-        self._unfinished = unfinished
-        self._last = last
-        self._ready_vital = ready_vital
-        self._l1_access_counter = acc_counter
-        self._response_seq = seq
-        self._next_token = next_token
-        self.jumped_cycles += jumped
-        self.jump_spans += spans
-        self.ticked_cycles += ticked
-        c = self.counters
-        c.cycles += cycles_c
-        c.busy_cycles += busy_c
-        c.stall_cycles += stall_c
-        c.instructions += instr_c
-        c.loads += loads_c
-        c.l1_accesses += l1_acc
-        c.l1_hits += l1_hit
-        c.l1_misses += l1_miss
-        c.l1_bypasses += l1_byp
-        c.polluting_accesses += pol_acc
-        c.polluting_hits += pol_hit
-        c.nonpolluting_accesses += npol_acc
-        c.nonpolluting_hits += npol_hit
-        c.intra_warp_hits += intra_c
-        c.inter_warp_hits += inter_c
-        c.miss_requests += missreq_c
-        c.miss_latency_total += misslat_c
-        c.l2_accesses += l2_acc
-        c.l2_hits += l2_hit
-        c.dram_accesses += dram_c
-        c.mshr_stall_cycles += mshr_stall
+    """The fast core under its former ``event`` name (no behaviour of its own)."""

@@ -36,8 +36,35 @@ issue changes nothing but ``pc``, the cycle counter and three counters, so
 ``k`` sticky ALU issues commute with the loop as long as no response is due
 and the warp stays schedulable — both of which bound ``k``).
 
+Dead cycles advance to a **next-event horizon**, ``min(next MSHR fill,
+run limit)``, in one jump.  Two dead-cycle classes qualify:
+
+* the *no-ready stall*: no vital warp can issue, credited to
+  ``stall_cycles``;
+* the *MSHR-full retry*: the GTO pick lands on a warp whose next load would
+  miss while every MSHR entry is in flight, so the slot is wasted and the
+  warp retries.  On a saturated memory system this is almost every cycle.
+
+Until the completion-heap head is due nothing a retry observes can move: no
+response is delivered, so no MSHR entry, outstanding load or
+min-first-dependent horizon changes; ``pick`` is deterministic over that
+frozen state, so it returns the same warp with the same blocked load every
+cycle; and the blocked path mutates nothing (the legacy oracle rolls back
+its ``instructions`` increment and touches neither the L1 nor the MSHR
+file).  Every cycle of the span is therefore an identical MSHR-stall cycle,
+and ``cycles``, ``busy_cycles`` and ``mshr_stall_cycles`` advance by the
+span length exactly as if ticked.  Jumps never cross ``limit``, so a
+controller window boundary (``run_cycles`` / ``snapshot`` /
+``set_warp_tuple``) and the chip's quantum grid see bit-identical
+per-window counter deltas.
+
+The span ledger records how the clock moved: ``jumped_cycles`` (dead cycles
+advanced in ``jump_spans`` jumps) plus ``ticked_cycles`` (cycles advanced by
+issuing work) always equals ``counters.cycles``.
+
 Bit-identity with the legacy core — every counter, every cycle — is pinned
-by the golden-counter fixtures and by the differential Hypothesis suite in
+by the golden-counter fixtures, the N-way conformance harness
+(``tests/engine_conformance.py``) and the differential Hypothesis suite in
 ``tests/test_fastcore_differential.py``.
 """
 
@@ -197,7 +224,8 @@ class FastStreamingMultiprocessor:
     ``config``, ``warps`` (length = launched warps), ``counters``, ``cycle``,
     ``done``, ``warp_tuple``, ``set_warp_tuple``, ``snapshot``,
     ``run_cycles``, ``run_to_completion``, ``reuse_tracker``,
-    ``cache_policy`` and ``trace_capture``.
+    ``cache_policy`` and ``trace_capture`` — plus the span ledger
+    (``jumped_cycles``, ``jump_spans``, ``ticked_cycles``).
     """
 
     def __init__(
@@ -285,6 +313,14 @@ class FastStreamingMultiprocessor:
         )
         self.trace_capture = trace_capture
 
+        # -- span ledger (jumped_cycles + ticked_cycles == counters.cycles) ---
+        #: Dead cycles advanced in one-jump spans (stall + MSHR retry).
+        self.jumped_cycles = 0
+        #: Number of jumps taken (each ≥ 1 cycle).
+        self.jump_spans = 0
+        #: Cycles advanced by issuing work (ALU batches count their length).
+        self.ticked_cycles = 0
+
     # -- public control -----------------------------------------------------------
 
     @property
@@ -367,6 +403,7 @@ class FastStreamingMultiprocessor:
         missreq_c = misslat_c = 0
         l2_acc = l2_hit = dram_c = 0
         mshr_stall = 0
+        jumped = spans = ticked = 0
 
         # ---- state bound to locals ------------------------------------------
         pcs = self._pcs
@@ -458,7 +495,7 @@ class FastStreamingMultiprocessor:
 
             # ---- pick a warp (greedy-then-oldest over the vital list) -------
             if not ready_vital:
-                # No vital warp can issue: jump to the next completion.
+                # No vital warp can issue: jump to the horizon.
                 if responses:
                     target = next_completion if next_completion < limit else limit
                     skipped = target - cycle
@@ -469,6 +506,8 @@ class FastStreamingMultiprocessor:
                 cycle += skipped
                 cycles_c += skipped
                 stall_c += skipped
+                jumped += skipped
+                spans += 1
                 continue
             if last >= 0 and vital[last] and ready[last]:
                 wid = last
@@ -513,6 +552,7 @@ class FastStreamingMultiprocessor:
                 cycle += k
                 cycles_c += k
                 busy_c += k
+                ticked += k
                 if tc_record is not None:
                     for index in range(pc, npc):
                         tc_record(wid, prog_w[index])
@@ -561,100 +601,114 @@ class FastStreamingMultiprocessor:
                 and line not in mshr_lines
                 and len(mshr_lines) >= mshr_cap
             ):
+                # ---- MSHR-retry span: jump to the horizon -------------------
                 # Structural hazard: a would-be miss with no MSHR entry (new
-                # or merged) cannot issue; the slot is wasted and the warp
-                # retries.  No cache or counter state changes (the legacy
-                # core's ``instructions`` increment is rolled back on this
-                # path, so the fast core never counts it at all).
-                mshr_stall += 1
+                # or merged) wastes the slot, and every retry until the next
+                # fill is identical (see the module docstring).  This needs
+                # the policy's ``allow_allocate`` to be an idempotent query:
+                # the oracle asks it every retry, this loop once per span.
+                # ``mshr_lines`` non-empty guarantees a response is in
+                # flight, so ``next_completion`` is real.
+                target = next_completion if next_completion < limit else limit
+                k = target - cycle
+                if k < 1:
+                    k = 1
+                mshr_stall += k
+                cycle += k
+                cycles_c += k
+                busy_c += k
+                jumped += k
+                spans += 1
+                continue
+
+            instr_c += 1
+            loads_c += 1
+            l1_acc += 1
+            if polluting:
+                pol_acc += 1
             else:
-                instr_c += 1
-                loads_c += 1
-                l1_acc += 1
+                npol_acc += 1
+            if reuse_record is not None:
+                reuse_record(wid, line)
+            if policy_active:
+                observe_access(inst, wid, hit_way >= 0)
+            acc_counter += 1
+            npc = pc + 1
+            pcs[wid] = npc
+            if hit_way >= 0:
+                l1_hit += 1
                 if polluting:
-                    pol_acc += 1
+                    pol_hit += 1
                 else:
-                    npol_acc += 1
-                if reuse_record is not None:
-                    reuse_record(wid, line)
-                if policy_active:
-                    observe_access(inst, wid, hit_way >= 0)
-                acc_counter += 1
-                npc = pc + 1
-                pcs[wid] = npc
-                if hit_way >= 0:
-                    l1_hit += 1
-                    if polluting:
-                        pol_hit += 1
-                    else:
-                        npol_hit += 1
-                    if lastw[hit_way] == wid:
-                        intra_c += 1
-                    else:
-                        inter_c += 1
-                    lastw[hit_way] = wid
-                    stamps[hit_way] = acc_counter
+                    npol_hit += 1
+                if lastw[hit_way] == wid:
+                    intra_c += 1
                 else:
-                    l1_miss += 1
-                    if allocate:
-                        # LRU victim: invalid ways carry stamp 0 (< any valid
-                        # stamp), ties resolve to the lowest way — the same
-                        # order as the legacy ``min`` over (valid, stamp).
-                        vic = base
-                        best = stamps[base]
-                        if best:
-                            for way in range(base + 1, base + assoc):
-                                s = stamps[way]
-                                if s < best:
-                                    vic = way
-                                    best = s
-                                    if not s:
-                                        break
-                        tags[vic] = line
-                        lastw[vic] = wid
-                        stamps[vic] = acc_counter
+                    inter_c += 1
+                lastw[hit_way] = wid
+                stamps[hit_way] = acc_counter
+            else:
+                l1_miss += 1
+                if allocate:
+                    # LRU victim: invalid ways carry stamp 0 (< any valid
+                    # stamp), ties resolve to the lowest way — the same
+                    # order as the legacy ``min`` over (valid, stamp).
+                    vic = base
+                    best = stamps[base]
+                    if best:
+                        for way in range(base + 1, base + assoc):
+                            s = stamps[way]
+                            if s < best:
+                                vic = way
+                                best = s
+                                if not s:
+                                    break
+                    tags[vic] = line
+                    lastw[vic] = wid
+                    stamps[vic] = acc_counter
+                else:
+                    l1_byp += 1
+                token = next_token
+                next_token += 1
+                fd = pc + inst.dep_distance + 1
+                out_w[token] = (fd, cycle)
+                if fd < minfd[wid]:
+                    minfd[wid] = fd
+                if line in mshr_lines:
+                    # Merged miss: attach to the in-flight response.
+                    waiters_map[line].append((wid, token))
+                else:
+                    mshr_lines.add(line)
+                    completion, served_by_l2 = memory_request(line, cycle, wid)
+                    l2_acc += 1
+                    if served_by_l2:
+                        l2_hit += 1
                     else:
-                        l1_byp += 1
-                    token = next_token
-                    next_token += 1
-                    fd = pc + inst.dep_distance + 1
-                    out_w[token] = (fd, cycle)
-                    if fd < minfd[wid]:
-                        minfd[wid] = fd
-                    if line in mshr_lines:
-                        # Merged miss: attach to the in-flight response.
-                        waiters_map[line].append((wid, token))
-                    else:
-                        mshr_lines.add(line)
-                        completion, served_by_l2 = memory_request(line, cycle, wid)
-                        l2_acc += 1
-                        if served_by_l2:
-                            l2_hit += 1
-                        else:
-                            dram_c += 1
-                        seq += 1
-                        entry_waiters = [(wid, token)]
-                        waiters_map[line] = entry_waiters
-                        heappush(responses, (completion, seq, line, entry_waiters))
-                        if completion < next_completion:
-                            next_completion = completion
-                if tc_record is not None:
-                    tc_record(wid, inst)
-                if npc >= plen_w or npc >= minfd[wid]:
-                    ready[wid] = False
-                    if vital[wid]:
-                        ready_vital -= 1
-                if npc >= plen_w and not out_w:
-                    alive[wid] = False
-                    unfinished -= 1
-                    refresh()
-                    vital_list = self._vital_list
-                    ready_vital = self._ready_vital
-                last = wid
+                        dram_c += 1
+                    seq += 1
+                    entry_waiters = [(wid, token)]
+                    waiters_map[line] = entry_waiters
+                    heappush(responses, (completion, seq, line, entry_waiters))
+                    if completion < next_completion:
+                        next_completion = completion
+            if tc_record is not None:
+                tc_record(wid, inst)
+            if npc >= plen_w or npc >= minfd[wid]:
+                ready[wid] = False
+                if vital[wid]:
+                    ready_vital -= 1
+            if npc >= plen_w and not out_w:
+                alive[wid] = False
+                unfinished -= 1
+                refresh()
+                vital_list = self._vital_list
+                ready_vital = self._ready_vital
+            last = wid
 
             cycle += 1
             cycles_c += 1
             busy_c += 1
+            ticked += 1
 
         # ---- write state and counters back ----------------------------------
         self.cycle = cycle
@@ -664,6 +718,9 @@ class FastStreamingMultiprocessor:
         self._l1_access_counter = acc_counter
         self._response_seq = seq
         self._next_token = next_token
+        self.jumped_cycles += jumped
+        self.jump_spans += spans
+        self.ticked_cycles += ticked
         c = self.counters
         c.cycles += cycles_c
         c.busy_cycles += busy_c

@@ -15,11 +15,9 @@ from typing import Optional, Sequence, Tuple
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.counters import PerfCounters
 from repro.gpu.energy import EnergyModel, EnergyReport
-from repro.gpu.engine import ENGINE_EVENT, ENGINE_LEGACY, resolve_engine
-from repro.gpu.eventcore import EventStreamingMultiprocessor
-from repro.gpu.fastcore import FastStreamingMultiprocessor
+from repro.gpu.engine import core_class_for_engine, resolve_engine
 from repro.gpu.isa import Instruction
-from repro.gpu.sm import CacheManagementPolicy, StreamingMultiprocessor
+from repro.gpu.sm import CacheManagementPolicy
 
 
 @dataclass
@@ -74,10 +72,10 @@ class GraphRunResult:
 class GPU:
     """Facade that runs kernels on the simulated SM.
 
-    ``engine`` selects the simulator core (``"fast"``/``"legacy"``/
-    ``"event"``); when ``None`` the choice is deferred to build time so the
-    ``REPRO_ENGINE`` environment variable is honoured even if it changes
-    after construction.  All engines are bit-identical on every counter, so
+    ``engine`` selects the simulator core (``"fast"``/``"legacy"``); when
+    ``None`` the choice is deferred to build time so the ``REPRO_ENGINE``
+    environment variable is honoured even if it changes after
+    construction.  All engines are bit-identical on every counter, so
     the choice never affects results — only wall-clock.
     """
 
@@ -109,13 +107,7 @@ class GPU:
                 cache_policy=cache_policy,
                 trace_capture=trace_capture,
             )
-        if resolved == ENGINE_LEGACY:
-            core = StreamingMultiprocessor
-        elif resolved == ENGINE_EVENT:
-            core = EventStreamingMultiprocessor
-        else:
-            core = FastStreamingMultiprocessor
-        return core(
+        return core_class_for_engine(resolved)(
             self.config, programs, cache_policy=cache_policy, trace_capture=trace_capture
         )
 
@@ -142,7 +134,7 @@ class GPU:
             trace_capture: optional issued-stream recorder
                 (:class:`repro.trace.capture.TraceCapture`).
             engine: simulator core override
-                (``"fast"``/``"legacy"``/``"event"``).
+                (``"fast"``/``"legacy"``).
         """
         sm = self.build_sm(
             programs, cache_policy=cache_policy, trace_capture=trace_capture, engine=engine
@@ -192,7 +184,7 @@ class GPU:
             capture_factory: optional ``name -> TraceCapture`` hook used by
                 graph trace capture.
         """
-        from repro.gpu.chip import core_class_for_engine, shared_memory_for_engine
+        from repro.gpu.chip import shared_memory_for_engine
         from repro.workloads.generator import generate_kernel_programs
         from repro.workloads.graph import ScheduledNode
 

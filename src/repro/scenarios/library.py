@@ -113,7 +113,7 @@ def _builtin_grids() -> List[ScenarioGrid]:
         ScenarioGrid(
             "engine-parity",
             {
-                "engine": ("fast", "legacy", "event"),
+                "engine": ("fast", "legacy"),
                 "scheme": ("gto", "ccws"),
                 "benchmark": ("mvt", "stencil"),
             },
@@ -125,11 +125,11 @@ def _builtin_grids() -> List[ScenarioGrid]:
             {
                 "scheme": ("gto", "ccws"),
                 "benchmark": ("gather", "mvt"),
-                "engine": ("fast", "event"),
+                "engine": ("fast", "legacy"),
                 "num_sms": (None, 2),
             },
             description="Tiny 2×2×2×2 grid for CI shard/union checks "
-            "(engine-pinned, so shards also exercise both hot-loop cores; "
+            "(engine-pinned, so shards also exercise the fast core and the oracle; "
             "the num_sms axis covers the single-SM and 2-SM chip paths)",
         ),
     ]

@@ -181,5 +181,14 @@ def test_unknown_ambient_engine_fails_fast(sweep_cache, capsys, monkeypatch):
     assert code == 2
     assert "REPRO_ENGINE" in captured.err
     assert "unknown simulator engine 'turbo'" in captured.err
-    for engine in ("fast", "legacy", "event"):
+    for engine in ("fast", "legacy"):
         assert engine in captured.err
+
+
+def test_folded_event_engine_fails_fast(sweep_cache, capsys, monkeypatch):
+    """REPRO_ENGINE=event names the retired engine: exit 2 and say where it
+    went, instead of silently simulating with another core."""
+    monkeypatch.setenv("REPRO_ENGINE", "event")
+    code, captured = run_cli(capsys, "run", "fig07", "--fast")
+    assert code == 2
+    assert "'event' was folded into 'fast'" in captured.err

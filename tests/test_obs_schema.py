@@ -97,6 +97,17 @@ def test_committed_history_loads_every_generation():
     assert all(entry.samples for entry in history.entries)
 
 
+def test_retired_event_engine_rows_still_load():
+    """The folded ``event`` engine's historical rows stay in the history as
+    their own brackets, which simply end before the latest entry."""
+    history = load_bench_history(COMMITTED_HISTORY)
+    event = [sample for sample in history.samples if sample.engine == "event"]
+    assert event
+    assert max(sample.entry_index for sample in event) < len(history.entries) - 1
+    latest = history.entries[-1]
+    assert latest.samples and all(s.engine in ("fast", "legacy") for s in latest.samples)
+
+
 def test_v0_entry_is_attributed_to_legacy_not_mixed():
     history = load_bench_history(COMMITTED_HISTORY)
     v0 = history.entries[0]
