@@ -8,6 +8,8 @@ the current directory) with:
   measured **per engine** (``fast`` and ``legacy``), plus the fast core's
   span ledger on the memory-stall bracket,
 * a trace-replay row (decode + replay of a stencil-family trace),
+* a ``generate`` row: every ``fig07 --fast`` kernel built from an empty
+  program cache, in instructions per second,
 * the full bench **matrix** — every evaluation scheme
   (gto/swl/pcal/poise/static_best) × representative synthetic and
   trace-family kernels × every engine — so the perf trajectory accumulates
@@ -61,6 +63,7 @@ from repro.runtime.bench import (
     compute_intensive_kernel,
     host_environment,
     load_trajectory,
+    measure_generate,
     measure_matrix,
     measure_sweep,
     measure_throughput,
@@ -176,6 +179,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     stage_done("trace_replay")
 
+    # Program generation: the cold pipeline's first layer, measured apart
+    # from any simulation.
+    generate = measure_generate()
+    print(
+        f"generate ({generate['kernel']}, {generate['specs']} kernels): "
+        f"{generate['instructions_per_second']:,.0f} instructions/s "
+        f"({generate['instructions']:,} instructions in {generate['wall_seconds']:.3f}s)"
+    )
+    stage_done("generate")
+
     matrix: List[dict] = []
     if not args.skip_matrix:
         matrix = measure_matrix(engines=engines, max_cycles=args.matrix_cycles)
@@ -213,6 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "environment": host_environment(),
         "telemetry": telemetry,
         "throughput": throughput,
+        "generate": generate,
         "matrix": matrix,
         "sweep": sweep,
     }

@@ -233,7 +233,13 @@ def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
             print(ExperimentResult.from_dict(payload).to_text())
             print()
 
-    from repro.obs.telemetry import describe_cache, describe_phases, telemetry_delta, telemetry_snapshot
+    from repro.obs.telemetry import (
+        describe_cache,
+        describe_phases,
+        describe_programs,
+        telemetry_delta,
+        telemetry_snapshot,
+    )
 
     telemetry_before = telemetry_snapshot()
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
@@ -268,6 +274,7 @@ def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
         )
     else:
         print(f"cache: {describe_cache(delta['cache'])}")
+    print(f"programs: {describe_programs(delta['programs'])}")
     if delta["phases"]:
         print(f"phases: {describe_phases(delta['phases'])}")
 

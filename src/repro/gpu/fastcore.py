@@ -14,11 +14,12 @@ state:
   length, the incrementally maintained minimum first-dependent index, one
   pending-load dict (token → ``(first_dep, issue_cycle)``) per warp, and an
   alive flag;
-* **programs** stay as tuples of (slotted, frozen)
-  :class:`~repro.gpu.isa.Instruction` objects read directly by the loop —
-  ``line_addr is None`` doubles as the ALU test, so no decode pass is ever
-  paid for instructions that never issue (profiling windows touch a few
-  percent of a kernel's stream);
+* **programs** are the shared, never-copied compact
+  :class:`~repro.gpu.isa.Program` arrays.  A per-warp load cursor holds the
+  ordinal of the next load and its instruction index, so an ALU burst is
+  bounded by one lookup and a load reads its line and dependency distance
+  straight from the arrays — no instruction object is built unless a trace
+  capture or cache policy asks for one;
 * **the L1** becomes three flat lists (``tag``, ``lru_stamp``,
   ``last_warp``) of length ``num_sets * assoc``; a line is invalid iff its
   stamp is 0, which preserves the legacy victim order exactly (invalid
@@ -76,7 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import PerfCounters
-from repro.gpu.isa import Instruction
+from repro.gpu.isa import Instruction, Program, as_program, load
 from repro.gpu.reuse import ReuseDistanceTracker
 from repro.gpu.sm import CacheManagementPolicy
 
@@ -242,17 +243,20 @@ class FastStreamingMultiprocessor:
                 f"{config.sm.max_warps}"
             )
         self.config = config
-        #: Immutable per-warp instruction streams.  ``len(sm.warps)`` is part
-        #: of the controller protocol; the instruction objects themselves are
-        #: only consulted by the trace-capture and cache-policy hooks.
-        self.warps: Tuple[Tuple[Instruction, ...], ...] = tuple(
-            tuple(program) for program in programs
-        )
+        #: Shared per-warp programs (plain instruction lists are converted
+        #: once here).  ``len(sm.warps)`` is part of the controller protocol.
+        self.warps: Tuple[Program, ...] = tuple(as_program(program) for program in programs)
         num_warps = len(self.warps)
 
         # -- warp state (struct of arrays, indexed by warp id) -----------------
         self._pcs: List[int] = [0] * num_warps
         self._plens: List[int] = [len(program) for program in self.warps]
+        #: Load cursor: the ordinal of each warp's next load to issue and that
+        #: load's instruction index (the program length once all have issued).
+        self._lcur: List[int] = [0] * num_warps
+        self._next_load: List[int] = [
+            program.load_index[0] if program.loads else len(program) for program in self.warps
+        ]
         self._minfd: List[int] = [_NO_BLOCK] * num_warps
         self._outstanding: List[Dict[int, Tuple[int, int]]] = [
             {} for _ in range(num_warps)
@@ -408,6 +412,8 @@ class FastStreamingMultiprocessor:
         # ---- state bound to locals ------------------------------------------
         pcs = self._pcs
         plens = self._plens
+        lcur = self._lcur
+        next_load = self._next_load
         minfd = self._minfd
         outstanding = self._outstanding
         alive = self._alive
@@ -440,6 +446,7 @@ class FastStreamingMultiprocessor:
         observe_access = self.cache_policy.observe_access if policy_active else None
         tc = self.trace_capture
         tc_record = tc.record if tc is not None else None
+        hooked = policy_active or tc_record is not None
         heappush = heapq.heappush
         heappop = heapq.heappop
         refresh = self._refresh_bits
@@ -448,11 +455,9 @@ class FastStreamingMultiprocessor:
 
         # Per-warp row cache: GTO is sticky, so consecutive issues almost
         # always come from the same warp and the row locals stay hot.
-        # Instructions are read straight off the (slotted, frozen) objects —
-        # ``line_addr is None`` doubles as the ALU test, so no decode pass is
-        # ever paid for instructions that never issue.
         cur = -1
-        prog_w: Tuple[Instruction, ...] = ()
+        prog_w: Optional[Program] = None
+        lidx_w = lline_w = ldep_w = None
         plen_w = 0
         out_w: Dict[int, Tuple[int, int]] = {}
 
@@ -523,29 +528,28 @@ class FastStreamingMultiprocessor:
             if wid != cur:
                 cur = wid
                 prog_w = progs[wid]
+                lidx_w = prog_w.load_index
+                lline_w = prog_w.load_line
+                ldep_w = prog_w.load_dep
                 plen_w = plens[wid]
                 out_w = outstanding[wid]
 
-            inst = prog_w[pc]
-            line = inst.line_addr
-            if line is None:
+            npc = next_load[wid]
+            if pc < npc:
                 # ---- ALU burst: issue every consecutive sticky ALU slot -----
-                # Bounds: the warp must stay schedulable (pc < minfd, < plen),
-                # no response may become due (cycle < next_completion) and the
+                # Bounds: the next load (the program length once none is
+                # left), the warp must stay schedulable (pc < minfd), no
+                # response may become due (cycle < next_completion) and the
                 # budget holds (cycle < limit).  Within those bounds each step
                 # is exactly one legacy ALU issue.
-                stop = minfd[wid]
-                if plen_w < stop:
-                    stop = plen_w
+                if minfd[wid] < npc:
+                    npc = minfd[wid]
                 bound = pc + (limit - cycle)
-                if bound < stop:
-                    stop = bound
+                if bound < npc:
+                    npc = bound
                 bound = pc + (next_completion - cycle)
-                if bound < stop:
-                    stop = bound
-                npc = pc + 1
-                while npc < stop and prog_w[npc].line_addr is None:
-                    npc += 1
+                if bound < npc:
+                    npc = bound
                 k = npc - pc
                 pcs[wid] = npc
                 instr_c += k
@@ -570,6 +574,10 @@ class FastStreamingMultiprocessor:
                 continue
 
             # ---- load issue (single fused set walk) -------------------------
+            lc = lcur[wid]
+            line = lline_w[lc]
+            if hooked:
+                inst = load(line, ldep_w[lc], prog_w.load_pc[lc])
             polluting = pollute[wid]
             if policy_active:
                 allocate = polluting and allow_allocate(inst, wid)
@@ -670,7 +678,7 @@ class FastStreamingMultiprocessor:
                     l1_byp += 1
                 token = next_token
                 next_token += 1
-                fd = pc + inst.dep_distance + 1
+                fd = pc + ldep_w[lc] + 1
                 out_w[token] = (fd, cycle)
                 if fd < minfd[wid]:
                     minfd[wid] = fd
@@ -693,6 +701,9 @@ class FastStreamingMultiprocessor:
                         next_completion = completion
             if tc_record is not None:
                 tc_record(wid, inst)
+            lc += 1
+            lcur[wid] = lc
+            next_load[wid] = lidx_w[lc] if lc < len(lidx_w) else plen_w
             if npc >= plen_w or npc >= minfd[wid]:
                 ready[wid] = False
                 if vital[wid]:

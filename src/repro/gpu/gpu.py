@@ -16,7 +16,7 @@ from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.counters import PerfCounters
 from repro.gpu.energy import EnergyModel, EnergyReport
 from repro.gpu.engine import core_class_for_engine, resolve_engine
-from repro.gpu.isa import Instruction
+from repro.gpu.isa import Instruction, as_program
 from repro.gpu.sm import CacheManagementPolicy
 
 
@@ -94,6 +94,9 @@ class GPU:
         engine: Optional[str] = None,
     ):
         resolved = resolve_engine(engine if engine is not None else self.engine)
+        # Plain instruction lists (tests, TraceCapture.programs()) become
+        # compact programs once here, not once per SM of a chip.
+        programs = [as_program(program) for program in programs]
         if self.config.num_sms > 1:
             # Chip model: num_sms cores of the resolved engine sharing one
             # L2/DRAM busy-server pair.  num_sms == 1 keeps the plain-SM
@@ -124,7 +127,8 @@ class GPU:
         """Execute a kernel.
 
         Args:
-            programs: one instruction sequence per warp.
+            programs: one program per warp (a compact
+                :class:`~repro.gpu.isa.Program` or a plain instruction list).
             warp_tuple: a static ``(N, p)`` to pin for the whole run; defaults
                 to maximum warps (the GTO baseline).
             controller: an object with ``execute(sm, max_cycles) -> dict``

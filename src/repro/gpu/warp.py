@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.gpu.isa import Instruction
 
@@ -53,6 +54,10 @@ class Warp:
     # dataclass can generate __slots__ for them.
     _program_len: int = field(init=False, repr=False, compare=False, default=0)
     _min_first_dep: int = field(init=False, repr=False, compare=False, default=_NO_BLOCK)
+    _decoder: Optional[Iterator[Instruction]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _current: Optional[Instruction] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.program:
@@ -62,21 +67,29 @@ class Warp:
         # maintained incrementally so the per-cycle schedulability check is
         # O(1) instead of a scan of the outstanding-load table.
         self._min_first_dep = _NO_BLOCK
+        self._start_decoder()
+
+    def _start_decoder(self) -> None:
+        # A warp walks its program strictly in order, so one iterator decodes
+        # it: O(1) per instruction even on a compact Program, whose random
+        # access is a binary search.
+        self._decoder = iter(self.program) if not self.pc else islice(self.program, self.pc, None)
+        self._current = next(self._decoder, None)
 
     @property
     def done(self) -> bool:
         """A warp retires once it has issued every instruction and all its
         loads have returned."""
-        return self.exited or (self.pc >= len(self.program) and not self.outstanding)
+        return self.exited or (self.pc >= self._program_len and not self.outstanding)
 
     @property
     def finished_issuing(self) -> bool:
-        return self.pc >= len(self.program)
+        return self.pc >= self._program_len
 
     def current_instruction(self) -> Optional[Instruction]:
         if self.finished_issuing:
             return None
-        return self.program[self.pc]
+        return self._current
 
     def blocking_load(self) -> Optional[OutstandingLoad]:
         """Return the outstanding load (if any) whose dependent instruction
@@ -106,6 +119,7 @@ class Warp:
     def advance(self) -> None:
         self.pc += 1
         self.issued_instructions += 1
+        self._current = next(self._decoder, None)
 
     def complete_load(self, token: int) -> OutstandingLoad:
         try:
@@ -127,6 +141,7 @@ class Warp:
         self.issued_instructions = 0
         self.exited = not self.program
         self._min_first_dep = _NO_BLOCK
+        self._start_decoder()
 
 
 def make_warps(programs: Sequence[Sequence[Instruction]]) -> List[Warp]:

@@ -12,7 +12,9 @@ generations:
   scheme × kernel × engine ``matrix`` and the ``sweep`` timing dict.
 * ``v2-telemetry`` — everything above plus a ``bench_schema`` version tag
   and a ``telemetry`` block (cache counters, phase wall-clock, per-stage
-  timings).  This is the only shape ``repro bench`` appends today, and
+  timings).  Later v2 entries add an optional ``generate`` row (program
+  generation in instructions per second), loaded as its own bracket.
+  This is the only shape ``repro bench`` appends today, and
   :func:`validate_bench_entry` enforces it **before** the append so the
   drift stops here.
 
@@ -44,6 +46,11 @@ GENERATIONS = (GEN_V0, GEN_V1, GEN_V2)
 #: sample lives in one kernel × scheme × engine bracket space.
 HOT_LOOP_SCHEME = "hot_loop"
 TRACE_REPLAY_SCHEME = "trace_replay"
+#: The program-generation bracket: engine-independent, so its samples carry
+#: :data:`GENERATE_ENGINE` and their throughput is instructions built per
+#: second, not cycles.
+GENERATE_SCHEME = "generate"
+GENERATE_ENGINE = "host"
 
 #: Numeric fields every throughput/matrix row must carry.
 ROW_NUMERIC_FIELDS = (
@@ -66,8 +73,8 @@ class BenchSample:
     kernel: str
     scheme: str
     engine: str
-    source: str  # "throughput" | "trace_replay" | "matrix"
-    cycles_per_second: float
+    source: str  # "throughput" | "trace_replay" | "matrix" | "generate"
+    cycles_per_second: float  # instructions per second for "generate"
     entry_index: int
     timestamp: str
     generation: str
@@ -173,6 +180,16 @@ def _entry_samples(
                 str(kernel), HOT_LOOP_SCHEME, str(row.get("engine", key)),
                 "throughput", cps,
             ))
+    generate = entry.get("generate")
+    if generate is not None:
+        ips = generate.get("instructions_per_second") if isinstance(generate, dict) else None
+        if isinstance(ips, (int, float)) and ips > 0:
+            samples.append(sample(
+                str(generate.get("kernel", GENERATE_SCHEME)), GENERATE_SCHEME,
+                GENERATE_ENGINE, "generate", float(ips),
+            ))
+        else:
+            warnings.append(f"{label}: generate has no usable instructions_per_second; skipped")
     matrix = entry.get("matrix", [])
     if not isinstance(matrix, list):
         warnings.append(f"{label}: matrix is not a list; skipped")
@@ -302,3 +319,15 @@ def validate_bench_entry(entry: object) -> None:
             row, f"matrix row #{position}", extra=("scheme", "engine", "kind")
         )
     _require(isinstance(entry.get("sweep"), dict), "bench entry needs a sweep object")
+    generate = entry.get("generate")
+    if generate is not None:
+        _require(isinstance(generate, dict), "generate must be an object")
+        _require(
+            isinstance(generate.get("kernel"), str) and generate["kernel"],
+            "generate needs a non-empty string 'kernel'",
+        )
+        for field_name in ("instructions", "wall_seconds", "instructions_per_second"):
+            _require(
+                isinstance(generate.get(field_name), (int, float)),
+                f"generate needs a numeric {field_name!r}",
+            )

@@ -4,15 +4,18 @@ The telemetry layer makes the invisible parts of a run visible without
 touching any content-stable artifact:
 
 * :func:`phase` — a context manager accumulating *inclusive* wall-clock
-  per named phase (``profile`` / ``train`` / ``simulate``), wrapped around
-  the execution seams in :mod:`repro.experiments.common` and
-  :mod:`repro.runtime.bench`.  Nested phases each accumulate their own
+  per named phase (``profile`` / ``train`` / ``simulate`` / ``generate``),
+  wrapped around the execution seams in :mod:`repro.experiments.common`,
+  :mod:`repro.runtime.bench` and (program generation on a cache miss)
+  :mod:`repro.workloads.generator`.  Nested phases each accumulate their own
   inclusive time (a training pass that profiles kernels counts the
   profiling wall-clock under both ``train`` and ``profile``).
 * :func:`telemetry_snapshot` / :func:`telemetry_delta` — combine the phase
-  totals with the :class:`repro.runtime.cache.CacheStats` counters into
-  one plain-dict payload, so callers bracket a region of work and emit
-  exactly what happened inside it.
+  totals with the :class:`repro.runtime.cache.CacheStats` counters and the
+  program-cache counters (hits, misses, evictions, resident instructions
+  of :mod:`repro.workloads.generator`) into one plain-dict payload, so
+  callers bracket a region of work and emit exactly what happened inside
+  it.  None of it ever enters a content-stable artifact.
 
 All counters are **per process**: parallel sweep workers accumulate their
 own totals, which never reach the parent through this module.  The
@@ -48,6 +51,9 @@ _SERVE: Dict[str, float] = {}
 #: Serve metrics that are high-water gauges, not monotone counters: a
 #: delta reports their *current* value rather than a subtraction.
 SERVE_GAUGES = frozenset({"queue_depth_peak"})
+
+#: Program-cache metrics that are levels, not monotone counters.
+PROGRAM_GAUGES = frozenset({"resident_instructions"})
 
 TELEMETRY_FORMAT_VERSION = 1
 
@@ -117,13 +123,16 @@ def reset_serve() -> None:
 
 
 def telemetry_snapshot() -> Dict[str, Dict]:
-    """The current phase totals + cache + serve counters of this process."""
+    """The current phase totals + cache + serve + program-cache counters of
+    this process."""
     from repro.runtime.cache import cache_stats
+    from repro.workloads.generator import program_cache_stats
 
     return {
         "phases": phase_totals(),
         "cache": cache_stats().to_dict(),
         "serve": serve_totals(),
+        "programs": program_cache_stats(),
     }
 
 
@@ -147,17 +156,23 @@ def telemetry_delta(before: Mapping[str, Mapping]) -> Dict[str, Dict]:
             for key, value in after["cache"].items()
         },
         "serve": serve,
+        "programs": {
+            # Resident instructions is a level; the rest are counters.
+            key: int(value) if key in PROGRAM_GAUGES
+            else int(value) - int(before.get("programs", {}).get(key, 0))
+            for key, value in after["programs"].items()
+        },
     }
+
+
+def plural(count: int, singular: str, plural_form: Optional[str] = None) -> str:
+    word = singular if count == 1 else (plural_form or singular + "s")
+    return f"{count} {word}"
 
 
 def describe_cache(cache: Mapping[str, int]) -> str:
     """One human line for a cache-counter dict, e.g.
     ``5 hits, 3 misses (1 corrupt fallback), 3 stores``."""
-
-    def plural(count: int, singular: str, plural_form: Optional[str] = None) -> str:
-        word = singular if count == 1 else (plural_form or singular + "s")
-        return f"{count} {word}"
-
     hits = int(cache.get("hits", 0))
     misses = int(cache.get("misses", 0))
     corrupt = int(cache.get("corrupt", 0))
@@ -170,6 +185,17 @@ def describe_cache(cache: Mapping[str, int]) -> str:
     if store_failures:
         text += f" ({plural(store_failures, 'failed store')})"
     return text
+
+
+def describe_programs(programs: Mapping[str, int]) -> str:
+    """One human line for a program-cache dict, e.g.
+    ``26 misses, 70 hits, 0 evictions, 3,480,000 instructions resident``."""
+    misses = int(programs.get("misses", 0))
+    return (
+        f"{plural(misses, 'miss', 'misses')}, {plural(int(programs.get('hits', 0)), 'hit')}, "
+        f"{plural(int(programs.get('evictions', 0)), 'eviction')}, "
+        f"{int(programs.get('resident_instructions', 0)):,} instructions resident"
+    )
 
 
 def describe_phases(phases: Mapping[str, Mapping[str, float]]) -> str:

@@ -39,15 +39,16 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.gpu.config import GPUConfig, MemoryConfig, baseline_config
 from repro.gpu.engine import resolve_engine
 from repro.gpu.gpu import GPU
+from repro.gpu.isa import Program
 from repro.obs.telemetry import phase
 from repro.profiling.profiler import KernelProfiler
 from repro.runtime.executor import SweepExecutor
-from repro.workloads.generator import generate_kernel_programs
+from repro.workloads.generator import clear_program_cache, generate_kernel_programs
 from repro.workloads.spec import KernelSpec
 
 #: The scheme matrix benchmarked by ``measure_matrix`` / ``repro bench``.
@@ -55,6 +56,9 @@ MATRIX_SCHEMES = ("gto", "swl", "pcal", "poise", "static_best")
 
 #: The two bracket kernels perf gates compare across engines/baselines.
 GATE_KERNELS = ("bench_memory_divergent", "bench_compute_intensive")
+
+#: The kernel-set name of the program-generation bracket.
+GENERATE_KERNEL = "fig07_fast_kernels"
 
 #: The MSHR-saturating bracket the fast core's horizon gate runs on.
 MSHR_GATE_KERNEL = "bench_memory_stall"
@@ -198,20 +202,16 @@ class MemoryStallKernelSpec(KernelSpec):
     the legacy oracle ticks.
     """
 
-    def materialise_programs(self) -> Tuple[Tuple, ...]:
-        from repro.gpu.isa import load
-
+    def materialise_programs(self) -> List[Program]:
         programs = []
         line = 1 << 44  # streaming region: never aliases the synthetic kernels
         n = self.instructions_per_warp
         for _ in range(self.num_warps):
-            program = tuple(
-                load(line + index, dep_distance=2 * (n - index), pc=1200)
-                for index in range(n)
-            )
+            programs.append(Program(
+                n, range(n), range(line, line + n), range(2 * n, 0, -2), [1200] * n, (), ()
+            ))
             line += n
-            programs.append(program)
-        return tuple(programs)
+        return programs
 
 
 def memory_stall_kernel() -> KernelSpec:
@@ -304,6 +304,52 @@ def span_ledger(
         "jump_spans": sm.jump_spans,
         "ticked_cycles": sm.ticked_cycles,
     }
+
+
+def fig07_fast_specs() -> List[KernelSpec]:
+    """The unique kernels a cold ``repro run fig07 --fast`` generates: the
+    training split and the evaluation split at the fast configuration."""
+    from repro.experiments.common import ExperimentConfig
+    from repro.workloads.registry import evaluation_benchmarks, training_benchmarks
+
+    config = ExperimentConfig.fast()
+    specs = [
+        spec
+        for benchmark in training_benchmarks()
+        for spec in config.limited_kernels(benchmark, training=True)
+    ]
+    specs += [
+        spec for benchmark in evaluation_benchmarks() for spec in config.limited_kernels(benchmark)
+    ]
+    return list(dict.fromkeys(specs))
+
+
+def measure_generate() -> Dict[str, object]:
+    """Program-generation throughput: every ``fig07 --fast`` kernel built
+    from an empty program cache, as instructions per second (best of 3
+    rounds; the cache is left empty)."""
+    specs = fig07_fast_specs()
+    elapsed = None
+    for _ in range(3):
+        clear_program_cache()
+        gc.collect()
+        start = time.perf_counter()
+        instructions = sum(
+            len(program) for spec in specs for program in generate_kernel_programs(spec)
+        )
+        round_elapsed = max(time.perf_counter() - start, 1e-9)
+        if elapsed is None or round_elapsed < elapsed:
+            elapsed = round_elapsed
+    clear_program_cache()
+    record = {
+        "kernel": GENERATE_KERNEL,
+        "specs": len(specs),
+        "instructions": instructions,
+        "wall_seconds": elapsed,
+        "instructions_per_second": instructions / elapsed,
+    }
+    record.update(host_environment())
+    return record
 
 
 def trace_replay_kernel(trace_dir: Path) -> "KernelSpec":

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Tuple, Union
 
+from repro.gpu.isa import Program
 from repro.trace.codec import (
     TRACE_SUFFIX,
     TraceFormatError,
@@ -85,8 +86,8 @@ class TraceKernelSpec(KernelSpec):
 
     # -- program materialisation --------------------------------------------------
 
-    def materialise_programs(self) -> List[List["object"]]:
-        """Produce the per-warp instruction streams for this kernel.
+    def materialise_programs(self) -> List[Program]:
+        """Produce the per-warp compact programs for this kernel.
 
         This is the dispatch point ``generate_kernel_programs`` looks for;
         its presence marks the spec as trace-backed.

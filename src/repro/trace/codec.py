@@ -41,7 +41,7 @@ import zlib
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.gpu.isa import Instruction, alu, load
+from repro.gpu.isa import Instruction, Program, ProgramBuilder, as_program
 
 MAGIC = b"POISETRC"
 FORMAT_VERSION = 1
@@ -61,7 +61,6 @@ _RUN_BODY = struct.Struct("<II")
 
 _MAX_PC = (1 << 32) - 1
 _MAX_DEP = (1 << 16) - 1
-_MAX_ADDR = (1 << 64) - 1
 
 
 class TraceFormatError(ValueError):
@@ -99,10 +98,11 @@ class TraceWriter:
                 w.write_warp(warp_id, program)
         print(w.content_hash)
 
-    ``write_warp`` accepts any iterable of :class:`Instruction`, so a capture
-    or a generator can stream instructions without holding the whole kernel
-    in memory.  The writer refuses out-of-range fields (pc, dep_distance,
-    address) instead of silently wrapping them.
+    ``write_warp`` accepts a :class:`~repro.gpu.isa.Program` or any iterable
+    of :class:`Instruction`, one warp at a time, so a capture or a generator
+    never holds more than one warp's compact program.  The writer refuses
+    out-of-range fields (pc, dep_distance, address) instead of silently
+    wrapping them.
     """
 
     def __init__(self, path: Union[str, Path], meta: Dict[str, Any], num_warps: int) -> None:
@@ -133,51 +133,35 @@ class TraceWriter:
 
     # -- writing -----------------------------------------------------------------
 
-    def _flush_run(self, run_start: int, run_length: int) -> None:
-        if run_length == 1:
-            self._sink.write(bytes((_REC_ALU,)) + _U32.pack(run_start))
-        elif run_length > 1:
-            self._sink.write(bytes((_REC_ALU_RUN,)) + _RUN_BODY.pack(run_length, run_start))
-
     def write_warp(self, warp_id: int, instructions: Iterable[Instruction]) -> int:
-        """Append one warp section; returns the number of instructions written."""
+        """Append one warp section; returns the number of instructions written.
+
+        ``instructions`` is a :class:`~repro.gpu.isa.Program` or any iterable
+        of :class:`Instruction`; either way the section holds the program's
+        canonical records (maximal sequential-PC ALU runs), so equal streams
+        write equal bytes.
+        """
         if self._closed:
             raise ValueError("trace writer is closed")
         if self._warps_written >= self.num_warps:
             raise ValueError(f"trace already holds {self.num_warps} warp sections")
-        self._sink.write(bytes((_WARP_START,)) + _U32.pack(warp_id))
-        count = 0
-        run_start = 0
-        run_length = 0
-        for instruction in instructions:
-            pc = instruction.pc
-            if not 0 <= pc <= _MAX_PC:
-                raise ValueError(f"pc {pc} out of the codec's 32-bit range")
-            if instruction.is_load:
-                self._flush_run(run_start, run_length)
-                run_length = 0
-                if not 0 <= instruction.dep_distance <= _MAX_DEP:
-                    raise ValueError(
-                        f"dep_distance {instruction.dep_distance} out of the codec's 16-bit range"
-                    )
-                if not 0 <= (instruction.line_addr or 0) <= _MAX_ADDR:
-                    raise ValueError(
-                        f"line address {instruction.line_addr} out of the codec's 64-bit range"
-                    )
-                self._sink.write(
-                    bytes((_REC_LOAD,))
-                    + _LOAD_BODY.pack(pc, instruction.dep_distance, instruction.line_addr)
-                )
-            elif run_length and pc == run_start + run_length:
-                run_length += 1  # extend the current sequential-PC ALU run
+        program = as_program(instructions)
+        write = self._sink.write
+        write(bytes((_WARP_START,)) + _U32.pack(warp_id))
+        for line, dep, pc, count in program.records():
+            if line is not None:
+                if dep > _MAX_DEP:
+                    raise ValueError(f"dep_distance {dep} out of the codec's 16-bit range")
+                write(bytes((_REC_LOAD,)) + _LOAD_BODY.pack(pc, dep, line))
+            elif pc + count - 1 > _MAX_PC:
+                raise ValueError(f"pc {pc + count - 1} out of the codec's 32-bit range")
+            elif count == 1:
+                write(bytes((_REC_ALU,)) + _U32.pack(pc))
             else:
-                self._flush_run(run_start, run_length)
-                run_start, run_length = pc, 1
-            count += 1
-        self._flush_run(run_start, run_length)
-        self._sink.write(bytes((_WARP_END,)))
+                write(bytes((_REC_ALU_RUN,)) + _RUN_BODY.pack(count, pc))
+        write(bytes((_WARP_END,)))
         self._warps_written += 1
-        return count
+        return len(program)
 
     def close(self) -> str:
         """Finalise the trace; returns the content hash of the payload."""
@@ -212,7 +196,7 @@ def write_trace(
     meta: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Write complete per-warp programs to ``path``; returns the content hash."""
-    programs = [list(program) for program in programs]
+    programs = [as_program(program) for program in programs]
     meta = dict(meta or {})
     meta.setdefault("instruction_counts", [len(program) for program in programs])
     with TraceWriter(path, meta=meta, num_warps=len(programs)) as writer:
@@ -286,12 +270,13 @@ class TraceReader:
 
     # -- iteration ----------------------------------------------------------------
 
-    def iter_warps(self) -> Iterator[Tuple[int, List[Instruction]]]:
+    def iter_warps(self) -> Iterator[Tuple[int, Program]]:
         """Yield ``(warp_id, program)`` one warp at a time.
 
-        Only the warp currently being yielded is materialised; callers that
-        stream (e.g. ``trace info``) can process arbitrarily large traces in
-        bounded memory.
+        Only the warp currently being yielded is materialised, as a compact
+        :class:`~repro.gpu.isa.Program` (``ALU_RUN`` records decode straight
+        into runs); callers that stream (e.g. ``trace info``) can process
+        arbitrarily large traces in bounded memory.
         """
         for _ in range(self.num_warps):
             marker = self._read(1)[0]
@@ -300,25 +285,25 @@ class TraceReader:
                     f"{self.path}: expected warp section, found record 0x{marker:02x}"
                 )
             (warp_id,) = _U32.unpack(self._read(4))
-            program: List[Instruction] = []
+            program = ProgramBuilder()
             while True:
                 kind = self._read(1)[0]
                 if kind == _WARP_END:
                     break
                 if kind == _REC_ALU:
                     (pc,) = _U32.unpack(self._read(4))
-                    program.append(alu(pc=pc))
+                    program.alu_run(1, pc)
                 elif kind == _REC_LOAD:
                     pc, dep, line_addr = _LOAD_BODY.unpack(self._read(_LOAD_BODY.size))
-                    program.append(load(line_addr, dep_distance=dep, pc=pc))
+                    program.load(line_addr, dep, pc)
                 elif kind == _REC_ALU_RUN:
                     count, pc_start = _RUN_BODY.unpack(self._read(_RUN_BODY.size))
-                    program.extend(alu(pc=pc_start + offset) for offset in range(count))
+                    program.alu_run(count, pc_start)
                 else:
                     raise TraceFormatError(
                         f"{self.path}: unknown record kind 0x{kind:02x} in warp {warp_id}"
                     )
-            yield warp_id, program
+            yield warp_id, program.build()
         if self._read(1)[0] != _TRACE_END:
             raise TraceFormatError(f"{self.path}: missing end-of-trace marker")
 
@@ -341,9 +326,7 @@ def read_trace_meta(path: Union[str, Path]) -> Tuple[Dict[str, Any], int]:
         return dict(reader.meta), reader.num_warps
 
 
-def read_trace_programs_with_hash(
-    path: Union[str, Path],
-) -> Tuple[List[List[Instruction]], str]:
+def read_trace_programs_with_hash(path: Union[str, Path]) -> Tuple[List[Program], str]:
     """Decode the full trace and its content hash in one streaming pass.
 
     This is the replay entry point: the simulator needs whole programs, so
@@ -351,7 +334,7 @@ def read_trace_programs_with_hash(
     only a single pass.  Returns ``(programs ordered by warp id, hash)``.
     """
     with TraceReader(path) as reader:
-        programs: Dict[int, List[Instruction]] = {}
+        programs: Dict[int, Program] = {}
         for warp_id, program in reader.iter_warps():
             if warp_id in programs:
                 raise TraceFormatError(f"{path}: duplicate warp id {warp_id}")
@@ -360,7 +343,7 @@ def read_trace_programs_with_hash(
         return ordered, reader.content_hash()
 
 
-def read_trace_programs(path: Union[str, Path]) -> List[List[Instruction]]:
+def read_trace_programs(path: Union[str, Path]) -> List[Program]:
     """Decode the full trace into per-warp programs ordered by warp id."""
     return read_trace_programs_with_hash(path)[0]
 
@@ -386,15 +369,12 @@ def trace_stats(path: Union[str, Path]) -> Dict[str, Any]:
         total_instructions = 0
         total_loads = 0
         for warp_id, program in reader.iter_warps():
-            loads = sum(1 for instruction in program if instruction.is_load)
             per_warp.append(
-                {"warp_id": warp_id, "instructions": len(program), "loads": loads}
+                {"warp_id": warp_id, "instructions": len(program), "loads": program.loads}
             )
-            unique_lines.update(
-                instruction.line_addr for instruction in program if instruction.is_load
-            )
+            unique_lines.update(program.load_line)
             total_instructions += len(program)
-            total_loads += loads
+            total_loads += program.loads
         return {
             "path": str(path),
             "meta": dict(reader.meta),

@@ -20,6 +20,7 @@ from repro.obs.schema import (
     GEN_V0,
     GEN_V1,
     GEN_V2,
+    GENERATE_SCHEME,
     HOT_LOOP_SCHEME,
     BenchSchemaError,
     classify_entry,
@@ -72,6 +73,10 @@ def make_v2_entry() -> dict:
             },
             "trace_replay": make_row("bench_trace_replay", "fast", 1_100_000.0),
         },
+        "generate": {
+            "kernel": "fig07_fast_kernels", "specs": 26, "instructions": 3_480_000,
+            "wall_seconds": 0.7, "instructions_per_second": 3_480_000 / 0.7,
+        },
         "matrix": [
             dict(make_row("bench_memory_divergent", "fast", 3_100_000.0),
                  scheme="gto", kind="synthetic"),
@@ -105,7 +110,8 @@ def test_retired_event_engine_rows_still_load():
     assert event
     assert max(sample.entry_index for sample in event) < len(history.entries) - 1
     latest = history.entries[-1]
-    assert latest.samples and all(s.engine in ("fast", "legacy") for s in latest.samples)
+    engines = {s.engine for s in latest.samples if s.scheme != GENERATE_SCHEME}
+    assert latest.samples and engines <= {"fast", "legacy"}
 
 
 def test_v0_entry_is_attributed_to_legacy_not_mixed():
@@ -187,6 +193,7 @@ def test_validate_accepts_a_fresh_entry():
         "cycles_per_second"), "cycles_per_second"),
     (lambda e: e["matrix"][0].pop("scheme"), "scheme"),
     (lambda e: e.pop("sweep"), "sweep"),
+    (lambda e: e["generate"].pop("instructions_per_second"), "instructions_per_second"),
     # Flat per-kernel rows are the retired v0 shape — a new entry must nest.
     (lambda e: e["throughput"].update(
         bench_memory_divergent={"cycles_per_second": 1.0}), "v0"),
@@ -211,3 +218,4 @@ def test_validated_entry_roundtrips_through_the_loader(tmp_path):
     assert "bench_memory_divergent:hot_loop:legacy" in brackets
     assert "bench_memory_divergent:gto:fast" in brackets
     assert "bench_trace_replay:trace_replay:fast" in brackets
+    assert "fig07_fast_kernels:generate:host" in brackets

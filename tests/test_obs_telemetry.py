@@ -13,6 +13,7 @@ from repro.experiments.common import ExperimentConfig
 from repro.obs.telemetry import (
     describe_cache,
     describe_phases,
+    describe_programs,
     phase,
     phase_totals,
     phases_delta,
@@ -141,6 +142,27 @@ def test_telemetry_snapshot_combines_cache_and_phases(tmp_path):
     assert delta["phases"]["simulate"]["calls"] == 1
 
 
+def test_telemetry_delta_reports_program_cache(monkeypatch):
+    from repro.workloads import generator
+    from repro.workloads.spec import KernelSpec
+
+    monkeypatch.setattr(generator, "_PROGRAM_CACHE", generator.BoundedProgramCache())
+    spec = KernelSpec(name="telemetry_programs", num_warps=2, instructions_per_warp=50)
+    before = telemetry_snapshot()
+    phases_before = phase_totals()
+    generator.generate_kernel_programs(spec)
+    generator.generate_kernel_programs(spec)
+    delta = telemetry_delta(before)
+    assert delta["programs"] == {
+        "hits": 1, "misses": 1, "evictions": 0, "resident_instructions": 100,
+    }
+    # Generation on the miss ran under the ``generate`` phase; the hit did not.
+    assert phases_delta(phases_before)["generate"]["calls"] == 1
+    assert describe_programs(delta["programs"]) == (
+        "1 miss, 1 hit, 0 evictions, 100 instructions resident"
+    )
+
+
 # ---------------------------------------------------------------------------
 # JobReport serialization
 # ---------------------------------------------------------------------------
@@ -184,7 +206,7 @@ def test_sweep_run_writes_telemetry_sidecar_outside_points(tmp_path):
     assert payload["kind"] == "sweep-run-telemetry"
     assert payload["grid"] == "telemetry-grid"
     assert payload["computed"] == 2
-    assert set(payload["telemetry"]) == {"phases", "cache", "serve"}
+    assert set(payload["telemetry"]) == {"phases", "cache", "serve", "programs"}
     # The content-stable tree stays content-stable: nothing new in points/.
     assert sorted(p.name for p in (runner.root / "points").glob("*")) == sorted(
         f"{point.point_id}.json" for point in runner.grid.points())

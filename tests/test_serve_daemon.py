@@ -272,7 +272,13 @@ def test_kill_dash_nine_recovery_is_byte_identical(tmp_path):
     while client.status(submitted["job_id"])["state"] == "queued":
         assert time.monotonic() < deadline
         time.sleep(0.1)
-    time.sleep(1.0)  # let it get some points deep into the sweep
+    # Let it get some points deep into the sweep: kill as soon as the first
+    # point artifact lands.  The whole smoke sweep takes about a second, so
+    # a fixed sleep could outlast it and kill an idle daemon.
+    sweeps = served / "artifacts" / "sweeps"
+    while not any(sweeps.rglob("points/*.json")):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
     process.kill()  # SIGKILL: no drain, no snapshot, no goodbye
     process.wait(30)
 

@@ -27,7 +27,13 @@ from repro.trace.adapter import TraceKernelSpec, trace_benchmark_from_files, tra
 from repro.trace.capture import TraceCapture, capture_kernel, capture_kernel_to_file
 from repro.trace.codec import write_trace
 from repro.trace.families import build_trace_benchmarks, family_kernel, family_names, generate_family_programs
-from repro.workloads.generator import _PROGRAM_CACHE, generate_kernel_programs
+from repro.runtime.bench import fig07_fast_specs
+from repro.workloads import generator
+from repro.workloads.generator import (
+    PROGRAM_CACHE_INSTRUCTIONS,
+    BoundedProgramCache,
+    generate_kernel_programs,
+)
 from repro.workloads.registry import TRACE_ORDER, all_benchmarks, get_benchmark, trace_benchmarks
 from repro.workloads.spec import KernelSpec
 
@@ -290,33 +296,70 @@ class TestIntegration:
 # ---------------------------------------------------------------------------
 
 
+def cache_kernel(seed: int, warps: int = 1, instructions: int = 30) -> KernelSpec:
+    return KernelSpec(
+        name=f"lru{seed}", num_warps=warps, instructions_per_warp=instructions, seed=seed
+    )
+
+
+@pytest.fixture
+def small_cache(monkeypatch):
+    """A 100-instruction program cache standing in for the module's."""
+    cache = BoundedProgramCache(budget=100)
+    monkeypatch.setattr(generator, "_PROGRAM_CACHE", cache)
+    return cache
+
+
 class TestBoundedProgramCache:
-    def test_capacity_is_enforced(self):
-        _PROGRAM_CACHE.clear()
-        for seed in range(_PROGRAM_CACHE.capacity + 4):
-            generate_kernel_programs(
-                KernelSpec(name=f"evict{seed}", num_warps=1, instructions_per_warp=30, seed=seed)
-            )
-        assert len(_PROGRAM_CACHE) == _PROGRAM_CACHE.capacity
-        _PROGRAM_CACHE.clear()
+    def test_evicts_least_recently_used_first(self, small_cache):
+        a, b, c, d, e = (cache_kernel(seed) for seed in range(5))  # 30 instructions each
+        for spec in (a, b, c, a):  # the hit on ``a`` makes ``b`` least recent
+            generate_kernel_programs(spec)
+        generate_kernel_programs(d)  # 120 > 100: evicts b
+        assert b not in small_cache and all(spec in small_cache for spec in (a, c, d))
+        generate_kernel_programs(e)  # evicts c, the next least recent
+        assert c not in small_cache and a in small_cache
+        assert small_cache.resident_instructions == 90
+        assert small_cache.evictions == 2
 
-    def test_synthetic_specs_hit_the_cache(self):
-        _PROGRAM_CACHE.clear()
-        spec = KernelSpec(name="cached", num_warps=2, instructions_per_warp=40)
-        first = generate_kernel_programs(spec)
-        assert len(_PROGRAM_CACHE) == 1
-        assert generate_kernel_programs(spec) == first
-        _PROGRAM_CACHE.clear()
+    def test_oversized_spec_is_returned_but_not_pinned(self, small_cache):
+        small = [cache_kernel(seed) for seed in range(3)]
+        for spec in small:
+            generate_kernel_programs(spec)
+        big = cache_kernel(9, warps=2, instructions=60)  # 120 > the whole budget
+        programs = generate_kernel_programs(big)
+        assert [len(program) for program in programs] == [60, 60]
+        assert big not in small_cache
+        assert all(spec in small_cache for spec in small)  # nothing evicted for it
+        assert small_cache.evictions == 0 and small_cache.resident_instructions == 90
 
-    def test_trace_replay_bypasses_the_cache(self, tmp_path):
-        _PROGRAM_CACHE.clear()
+    def test_trace_backed_specs_are_never_pinned(self, small_cache, tmp_path):
         path = tmp_path / "bypass.trc"
-        write_trace(path, generate_kernel_programs(TINY_KERNEL), meta={"kernel": "bypass"})
-        _PROGRAM_CACHE.clear()
+        write_trace(path, generate_kernel_programs(cache_kernel(1)), meta={"kernel": "bypass"})
+        small_cache.clear()
+        before = small_cache.stats()
         generate_kernel_programs(trace_kernel_from_file(path))
         generate_kernel_programs(small_family_kernel("gather"))
-        assert len(_PROGRAM_CACHE) == 0  # trace-backed programs are never pinned
-        _PROGRAM_CACHE.clear()
+        assert len(small_cache) == 0
+        assert small_cache.stats() == before  # not even a lookup was counted
+
+    def test_counters_after_a_scripted_sequence(self, small_cache):
+        a, b, c, d = (cache_kernel(seed) for seed in range(4))
+        # a miss, b miss, a hit, c miss, d miss (evicts b), b miss (evicts a),
+        # a miss (evicts c): 1 hit, 6 misses, 3 evictions, {d, b, a} resident.
+        for spec in (a, b, a, c, d, b, a):
+            generate_kernel_programs(spec)
+        assert small_cache.stats() == {
+            "hits": 1, "misses": 6, "evictions": 3, "resident_instructions": 90,
+        }
+
+    def test_a_fig07_fast_run_fits_the_default_budget(self):
+        # Every kernel of a cold ``fig07 --fast`` run stays resident: the CI
+        # smoke step fails on any eviction there.
+        specs = fig07_fast_specs()
+        total = sum(spec.num_warps * spec.instructions_per_warp for spec in specs)
+        assert len(specs) == 26 and total == 3_480_000
+        assert total <= PROGRAM_CACHE_INSTRUCTIONS
 
 
 # ---------------------------------------------------------------------------
